@@ -9,7 +9,7 @@ GO ?= go
 BENCH_PKGS := ./internal/core ./internal/agreement ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal
 BENCH_PAT  ?= .
 
-.PHONY: build test race vet ci bench bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
+.PHONY: build test race vet ci bench bench-check bench-module chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-ci: vet build race chaos-short recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
+ci: vet build race bench-module chaos-short recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
+
+# The benchmark harness is its own Go module (rrfdbench/go.mod, replacing
+# repro with ../), so the root `go test ./...` neither builds nor tests it:
+# vet and test it here, so an API break in chaos, serve or mc fails CI
+# rather than the next benchmark run.
+bench-module:
+	cd rrfdbench && $(GO) vet ./... && $(GO) test ./...
 
 # Fixed-seed, small-N fault-injection campaigns under the race detector:
 # quick enough for every CI run, loud on any safety violation (the chaos

@@ -60,9 +60,6 @@ type (
 
 	// ImmediateView is a Participate result.
 	ImmediateView = immediate.View
-
-	// ImmediateRoundOutcome reports an iterated-immediate-snapshot run.
-	ImmediateRoundOutcome = immediate.RoundOutcome
 )
 
 var (

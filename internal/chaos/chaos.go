@@ -17,14 +17,12 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/msgnet"
 	"repro/internal/obs"
 	"repro/internal/obs/hist"
-	"repro/internal/par"
 	"repro/internal/predicate"
 	"repro/internal/reliablelink"
 )
@@ -494,47 +492,22 @@ func Run(cfg Config) *Summary {
 	cfg = cfg.withDefaults()
 	sum := &Summary{Runs: cfg.Runs}
 
-	// Pre-draw every run's seeds sequentially from the campaign RNG, so
-	// run i consumes exactly the random stream it would in a sequential
-	// campaign, whatever order the workers execute in.
-	type runSeeds struct{ sched, plan int64 }
-	seeds := faultnet.NewRNG(cfg.Seed)
-	draws := make([]runSeeds, cfg.Runs)
-	for i := range draws {
-		draws[i].sched = int64(seeds.Intn(1<<30)) + 1
-		draws[i].plan = int64(seeds.Intn(1<<30)) + 1
-	}
-
-	workers := par.Workers(cfg.Workers)
-	if cfg.Observer != nil {
-		workers = 1 // serialize the observed event stream
-	}
-
 	type runOutcome struct {
 		decided, undecided               int
 		stalls, retransmissions, giveUps int
 		steps                            int
 		vs                               []Violation
 	}
-	var wall *hist.Histogram
-	if cfg.Telemetry != nil {
-		wall = cfg.Telemetry.Get("chaos_run_wall_ns")
-	}
-	outs, perr := par.Map(workers, cfg.Runs, func(run int) runOutcome {
-		plan := RandomPlan(cfg, draws[run].plan)
+	spec := campaignSpec{seed: cfg.Seed, runs: cfg.Runs, workers: cfg.Workers, observed: cfg.Observer != nil,
+		tel: cfg.Telemetry, wallName: "chaos_run_wall_ns", out: cfg.Out}
+	runCampaign(spec, func(run int, sched, planSeed int64) runOutcome {
+		plan := RandomPlan(cfg, planSeed)
 		if cfg.FixedPlan != nil {
 			plan = *cfg.FixedPlan
 		}
-		crashes := randomCrashes(cfg, draws[run].plan)
+		crashes := randomCrashes(cfg, planSeed)
 
-		var start time.Time
-		if wall != nil {
-			start = time.Now()
-		}
-		out, rep, decisions, err := Execute(cfg, draws[run].sched, plan, crashes)
-		if wall != nil {
-			wall.Record(time.Since(start).Nanoseconds())
-		}
+		out, rep, decisions, err := Execute(cfg, sched, plan, crashes)
 		oc := runOutcome{decided: len(decisions), undecided: cfg.N - len(decisions)}
 		if rep != nil {
 			oc.stalls = len(rep.Stalls)
@@ -546,36 +519,24 @@ func Run(cfg Config) *Summary {
 		if len(oc.vs) == 0 {
 			return oc
 		}
-		min := Minimize(cfg, draws[run].sched, plan, crashes)
+		min := Minimize(cfg, sched, plan, crashes)
 		for i := range oc.vs {
 			oc.vs[i].Run = run
-			oc.vs[i].SchedSeed = draws[run].sched
+			oc.vs[i].SchedSeed = sched
 			oc.vs[i].Plan = plan
 			oc.vs[i].MinPlan = min
 			oc.vs[i].Crashes = crashes
 		}
 		return oc
-	})
-	if perr != nil {
-		panic(perr) // a panicking run would abort a sequential campaign too
-	}
-
-	for _, oc := range outs {
+	}, func(oc runOutcome) []Violation {
 		sum.Decided += oc.decided
 		sum.Undecided += oc.undecided
 		sum.Stalls += oc.stalls
 		sum.Retransmissions += oc.retransmissions
 		sum.GiveUps += oc.giveUps
 		sum.Steps += oc.steps
-		for _, v := range oc.vs {
-			sum.Violations = append(sum.Violations, v)
-			if cfg.Out != nil {
-				fmt.Fprintf(cfg.Out, "%s\n", v)
-			}
-		}
-	}
-	if cfg.Out != nil {
-		fmt.Fprintf(cfg.Out, "%s\n", sum)
-	}
+		sum.Violations = append(sum.Violations, oc.vs...)
+		return oc.vs
+	}, sum)
 	return sum
 }

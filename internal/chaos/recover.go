@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/msgnet"
 	"repro/internal/obs"
 	"repro/internal/obs/hist"
-	"repro/internal/par"
 	"repro/internal/recovery"
 )
 
@@ -268,19 +266,6 @@ func RunRecover(cfg RecoverConfig) *RecoverSummary {
 	cfg = cfg.withDefaults()
 	sum := &RecoverSummary{Runs: cfg.Runs}
 
-	type runSeeds struct{ sched, scen int64 }
-	seeds := faultnet.NewRNG(cfg.Seed)
-	draws := make([]runSeeds, cfg.Runs)
-	for i := range draws {
-		draws[i].sched = int64(seeds.Intn(1<<30)) + 1
-		draws[i].scen = int64(seeds.Intn(1<<30)) + 1
-	}
-
-	workers := par.Workers(cfg.Workers)
-	if cfg.Observer != nil {
-		workers = 1 // serialize the observed event stream
-	}
-
 	type runOutcome struct {
 		decided, undecided          int
 		crashes, restarts, rejoins  int
@@ -288,22 +273,13 @@ func RunRecover(cfg RecoverConfig) *RecoverSummary {
 		steps                       int
 		vs                          []RecoverViolation
 	}
-	var wall *hist.Histogram
-	if cfg.Telemetry != nil {
-		wall = cfg.Telemetry.Get("chaos_recover_wall_ns")
-	}
-	outs, perr := par.Map(workers, cfg.Runs, func(run int) runOutcome {
-		s := RandomRecoverScenario(cfg, draws[run].scen)
-		s.SchedSeed = draws[run].sched
+	spec := campaignSpec{seed: cfg.Seed, runs: cfg.Runs, workers: cfg.Workers, observed: cfg.Observer != nil,
+		tel: cfg.Telemetry, wallName: "chaos_recover_wall_ns", out: cfg.Out}
+	runCampaign(spec, func(run int, sched, scen int64) runOutcome {
+		s := RandomRecoverScenario(cfg, scen)
+		s.SchedSeed = sched
 
-		var start time.Time
-		if wall != nil {
-			start = time.Now()
-		}
 		out, err := ExecuteRecover(cfg, s)
-		if wall != nil {
-			wall.Record(time.Since(start).Nanoseconds())
-		}
 		var oc runOutcome
 		if out != nil {
 			oc.decided = len(out.Decisions)
@@ -325,12 +301,7 @@ func RunRecover(cfg RecoverConfig) *RecoverSummary {
 			oc.vs[i].Scenario = s
 		}
 		return oc
-	})
-	if perr != nil {
-		panic(perr) // a panicking run would abort a sequential campaign too
-	}
-
-	for _, oc := range outs {
+	}, func(oc runOutcome) []RecoverViolation {
 		sum.Decided += oc.decided
 		sum.Undecided += oc.undecided
 		sum.Crashes += oc.crashes
@@ -339,15 +310,8 @@ func RunRecover(cfg RecoverConfig) *RecoverSummary {
 		sum.ReplayedRounds += oc.replayedRounds
 		sum.LostRecords += oc.lostRecords
 		sum.Steps += oc.steps
-		for _, v := range oc.vs {
-			sum.Violations = append(sum.Violations, v)
-			if cfg.Out != nil {
-				fmt.Fprintf(cfg.Out, "%s\n", v)
-			}
-		}
-	}
-	if cfg.Out != nil {
-		fmt.Fprintf(cfg.Out, "%s\n", sum)
-	}
+		sum.Violations = append(sum.Violations, oc.vs...)
+		return oc.vs
+	}, sum)
 	return sum
 }

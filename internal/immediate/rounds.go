@@ -4,46 +4,24 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 	"repro/internal/swmr"
 )
-
-// RoundOutcome reports an iterated-immediate-snapshot (IIS) execution.
-type RoundOutcome struct {
-	// Trace is the induced RRFD trace: D(i,r) is the complement of p_i's
-	// round-r immediate-snapshot view.
-	Trace *core.Trace
-
-	// Views[i][r-1] maps members of p_i's round-r view to their round-r
-	// emissions.
-	Views map[core.PID][]map[core.PID]core.Value
-
-	// Crashed is the set of processes crashed by the scheduler.
-	Crashed core.Set
-}
-
-// RoundEmit computes p_i's round-r emission from the previous round's view
-// (nil at round 1).
-type RoundEmit func(me core.PID, r int, received map[core.PID]core.Value, suspects core.Set) core.Value
 
 // RunRounds executes rounds rounds of the iterated immediate snapshot: one
 // fresh one-shot object per round, each process participating with its
 // round emission. The induced RRFD trace satisfies the item 5 snapshot
 // predicate with budget n−1 PLUS immediacy — the strict strengthening the
-// E-series lattice records.
-func RunRounds(n, rounds int, cfg swmr.Config, emit RoundEmit) (*RoundOutcome, error) {
+// E-series lattice records. D(i,r) is the complement of p_i's round-r
+// view; the outcome's Steps counts register operations.
+func RunRounds(n, rounds int, cfg swmr.Config, emit msgnet.RoundEmit) (*msgnet.RoundOutcome, error) {
 	if emit == nil {
-		emit = func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
-			return fmt.Sprintf("p%d@r%d", me, r)
-		}
+		emit = msgnet.DefaultEmit
 	}
-	type rec struct {
-		dsets []core.Set
-		views []map[core.PID]core.Value
-	}
-	recs := make([]*rec, n)
+	recs := make([]*msgnet.RoundRec, n)
 	out, err := swmr.Run(n, cfg, func(p *swmr.Proc) (core.Value, error) {
-		r0 := &rec{}
-		recs[p.Me] = r0
+		rec := &msgnet.RoundRec{}
+		recs[p.Me] = rec
 		var prev map[core.PID]core.Value
 		prevSus := core.NewSet(n)
 		for r := 1; r <= rounds; r++ {
@@ -53,8 +31,8 @@ func RunRounds(n, rounds int, cfg swmr.Config, emit RoundEmit) (*RoundOutcome, e
 				return nil, err
 			}
 			d := view.Members.Complement()
-			r0.dsets = append(r0.dsets, d)
-			r0.views = append(r0.views, view.Values)
+			rec.Dsets = append(rec.Dsets, d)
+			rec.Views = append(rec.Views, view.Values)
 			prev, prevSus = view.Values, d
 		}
 		return nil, nil
@@ -62,42 +40,5 @@ func RunRounds(n, rounds int, cfg swmr.Config, emit RoundEmit) (*RoundOutcome, e
 	if err != nil {
 		return nil, err
 	}
-
-	res := &RoundOutcome{
-		Trace:   core.NewTrace(n),
-		Views:   make(map[core.PID][]map[core.PID]core.Value, n),
-		Crashed: out.Crashed,
-	}
-	for i := 0; i < n; i++ {
-		if recs[i] == nil {
-			recs[i] = &rec{}
-		}
-		res.Views[core.PID(i)] = recs[i].views
-	}
-	for r := 1; r <= rounds; r++ {
-		rr := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if len(recs[i].dsets) >= r {
-				rr.Active.Add(pid)
-				rr.Suspects[i] = recs[i].dsets[r-1]
-				rr.Deliver[i] = recs[i].dsets[r-1].Complement()
-			} else {
-				rr.Suspects[i] = core.NewSet(n)
-				rr.Deliver[i] = core.NewSet(n)
-				rr.Crashed.Add(pid)
-			}
-		}
-		if rr.Active.Empty() {
-			break
-		}
-		res.Trace.Append(rr)
-	}
-	return res, nil
+	return msgnet.AssembleRoundOutcome(n, rounds, recs, out.Crashed, out.Steps), nil
 }

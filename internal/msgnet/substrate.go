@@ -48,66 +48,3 @@ func (nd *Node) PID() core.PID { return nd.Me }
 func (nd *Node) Size() int { return nd.N }
 
 var _ Substrate = (*Node)(nil)
-
-// RoundRec is one process's record of a round-protocol execution: its
-// per-round suspect sets (D(i,r)) and views (S(i,r) with payloads). Every
-// round runner — the unreliable protocol here, reliablelink's watchdogged
-// one, netsub's wall-clock one — fills one RoundRec per process and hands
-// them to AssembleRoundOutcome.
-type RoundRec struct {
-	Dsets []core.Set
-	Views []map[core.PID]core.Value
-}
-
-// AssembleRoundOutcome builds the induced RRFD trace from per-process
-// round records: Active at round r is every process with an r-th record,
-// Suspects[i] is its D(i,r), Deliver[i] the complement, and a process
-// that stopped recording is marked Crashed when the substrate crashed it.
-// Trace assembly stops at the first round nobody completed. Nil entries
-// of recs are treated as empty records.
-func AssembleRoundOutcome(n, rounds int, recs []*RoundRec, crashed core.Set, steps int) *RoundOutcome {
-	res := &RoundOutcome{
-		Trace:   core.NewTrace(n),
-		Views:   make(map[core.PID][]map[core.PID]core.Value, n),
-		Crashed: crashed,
-		Steps:   steps,
-	}
-	empty := &RoundRec{}
-	rec := func(i int) *RoundRec {
-		if recs[i] == nil {
-			return empty
-		}
-		return recs[i]
-	}
-	for i := 0; i < n; i++ {
-		res.Views[core.PID(i)] = rec(i).Views
-	}
-	for r := 1; r <= rounds; r++ {
-		rr := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if len(rec(i).Dsets) >= r {
-				rr.Active.Add(pid)
-				rr.Suspects[i] = rec(i).Dsets[r-1]
-				rr.Deliver[i] = rec(i).Dsets[r-1].Complement()
-			} else {
-				rr.Suspects[i] = core.NewSet(n)
-				rr.Deliver[i] = core.NewSet(n)
-				if crashed.Has(pid) {
-					rr.Crashed.Add(pid)
-				}
-			}
-		}
-		if rr.Active.Empty() {
-			break
-		}
-		res.Trace.Append(rr)
-	}
-	return res
-}

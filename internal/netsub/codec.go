@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 )
 
 // Wire format. Every frame is length-prefixed and checksummed:
@@ -194,17 +195,9 @@ const (
 	tagRoundMsg = 0x05 // uvarint round + nested value
 )
 
-// RoundMsg is the round protocol's wire payload: the round number and
-// the emitted value, mirroring the unexported roundMsg of msgnet and
-// reliablelink on the network substrate.
-type RoundMsg struct {
-	Round int
-	Value core.Value
-}
-
 // AppendValue appends the wire encoding of v to dst. Supported types:
-// nil, int, string, []byte, bool, RoundMsg. Anything else is a caller
-// bug and is reported as an *UnsupportedTypeError.
+// nil, int, string, []byte, bool, msgnet.RoundMsg. Anything else is a
+// caller bug and is reported as an *UnsupportedTypeError.
 func AppendValue(dst []byte, v core.Value) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -226,7 +219,7 @@ func AppendValue(dst []byte, v core.Value) ([]byte, error) {
 			b = 1
 		}
 		return append(dst, tagBool, b), nil
-	case RoundMsg:
+	case msgnet.RoundMsg:
 		dst = append(dst, tagRoundMsg)
 		dst = binary.AppendUvarint(dst, uint64(x.Round))
 		return AppendValue(dst, x.Value)
@@ -276,7 +269,7 @@ func DecodeValue(b []byte) (core.Value, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return RoundMsg{Round: int(r), Value: inner}, 1 + n + m, nil
+		return msgnet.RoundMsg{Round: int(r), Value: inner}, 1 + n + m, nil
 	default:
 		return nil, 0, &CorruptFrameError{Field: "value", Detail: fmt.Sprintf("unknown tag 0x%02X", b[0])}
 	}

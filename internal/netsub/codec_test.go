@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 )
 
 func mustFrame(t *testing.T, kind FrameKind, payload []byte) []byte {
@@ -146,8 +147,8 @@ func TestValueRoundTrip(t *testing.T) {
 		[]byte{0, 1, 2},
 		true,
 		false,
-		RoundMsg{Round: 12, Value: "payload"},
-		RoundMsg{Round: 1, Value: RoundMsg{Round: 2, Value: 99}},
+		msgnet.RoundMsg{Round: 12, Value: "payload"},
+		msgnet.RoundMsg{Round: 1, Value: msgnet.RoundMsg{Round: 2, Value: 99}},
 	}
 	for _, v := range values {
 		buf, err := AppendValue(nil, v)

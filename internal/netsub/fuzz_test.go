@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/msgnet"
 )
 
 // FuzzDecodeFrame hammers the wire decoder with arbitrary bytes: it must
@@ -22,7 +24,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		return buf
 	}
 	hello := valid(FrameHello, appendHello(nil, hello{pid: 1, n: 3, incarnation: 1}))
-	body, _ := AppendValue(nil, RoundMsg{Round: 2, Value: "p1@r2"})
+	body, _ := AppendValue(nil, msgnet.RoundMsg{Round: 2, Value: "p1@r2"})
 	data := valid(FrameData, body)
 
 	f.Add([]byte{})

@@ -27,9 +27,10 @@
 //
 // The substrate clock is milliseconds since node start; RecvTimeout
 // deadlines are absolute ticks on it, exactly as msgnet deadlines are
-// absolute steps. RunRounds runs the same round protocol as
-// reliablelink.RunRounds with a wall-clock watchdog, so stalls degrade
-// into suspicions identically and RunReports stay comparable.
+// absolute steps. RunRounds is a harness around msgnet's one round body,
+// msgnet.RunSubstrateRounds — the function reliablelink.RunRounds runs on
+// the step-clock scheduler — with a wall-clock watchdog, so stalls
+// degrade into suspicions identically and RunReports stay comparable.
 package netsub
 
 import (

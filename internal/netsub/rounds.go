@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msgnet"
-	"repro/internal/obs"
-	"repro/internal/reliablelink"
 )
 
 // RoundsConfig tunes a round-protocol execution over the network
@@ -61,7 +59,7 @@ type RunReport struct {
 	// Stalls lists every watchdog firing, ordered by (process, round).
 	// The Step field of each stall is a millisecond tick of that node's
 	// clock, not a scheduler step.
-	Stalls []reliablelink.Stall
+	Stalls []msgnet.Stall
 
 	// PerProc holds each node's transport statistics.
 	PerProc []Stats
@@ -91,103 +89,19 @@ func (r *RunReport) String() string {
 	return b.String()
 }
 
-// RunSubstrateRounds executes the §2 item 3 round protocol — broadcast,
-// collect n−f current-round messages, watchdog the stragglers into
-// D(i,r) — against any msgnet.Substrate. The SAME function body drives
-// the virtual scheduler (where Clock ticks are steps) and the network
-// substrate (where they are milliseconds): the protocol only ever sees
-// absolute Clock deadlines, so lost, shed, and late messages degrade
-// into suspicions identically on both. Returns the process's round
-// record, its stalls, and any fatal error.
-func RunSubstrateRounds(sub msgnet.Substrate, n, f, rounds, watchdogTicks, lingerTicks int, emit msgnet.RoundEmit, o obs.Observer) (*msgnet.RoundRec, []reliablelink.Stall, error) {
-	if emit == nil {
-		emit = func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
-			return fmt.Sprintf("p%d@r%d", me, r)
-		}
-	}
-	me := sub.PID()
-	rec := &msgnet.RoundRec{}
-	var stalls []reliablelink.Stall
-	// future buffers messages from rounds ahead of ours.
-	future := make(map[int]map[core.PID]core.Value)
-	var prevMsgs map[core.PID]core.Value
-	prevSus := core.NewSet(n)
-	for r := 1; r <= rounds; r++ {
-		v := emit(me, r, prevMsgs, prevSus)
-		if err := sub.Broadcast(RoundMsg{Round: r, Value: v}); err != nil {
-			return rec, stalls, err
-		}
-		got := future[r]
-		if got == nil {
-			got = make(map[core.PID]core.Value)
-		}
-		delete(future, r)
-		deadline := sub.Clock() + watchdogTicks
-		for len(got) < n-f {
-			env, ok, err := sub.RecvTimeout(deadline)
-			if err != nil {
-				return rec, stalls, err
-			}
-			if !ok {
-				// Watchdog: give the round up and suspect whoever is
-				// still missing.
-				missing := make([]core.PID, 0, n-len(got))
-				for i := 0; i < n; i++ {
-					if _, have := got[core.PID(i)]; !have {
-						missing = append(missing, core.PID(i))
-					}
-				}
-				stalls = append(stalls, reliablelink.Stall{P: me, Round: r, Missing: missing, Step: sub.Clock()})
-				if o != nil {
-					o.Event("netsub.watchdog", r, int(me), map[string]any{"missing": len(missing), "tick": sub.Clock()})
-				}
-				break
-			}
-			m, isRound := env.Payload.(RoundMsg)
-			if !isRound {
-				return rec, stalls, fmt.Errorf("netsub: foreign payload %T", env.Payload)
-			}
-			switch {
-			case m.Round == r:
-				got[env.From] = m.Value
-			case m.Round > r: // early: buffer
-				if future[m.Round] == nil {
-					future[m.Round] = make(map[core.PID]core.Value)
-				}
-				future[m.Round][env.From] = m.Value
-			default: // late: discard
-			}
-		}
-		d := core.FullSet(n)
-		for p := range got {
-			d.Remove(p)
-		}
-		rec.Dsets = append(rec.Dsets, d)
-		rec.Views = append(rec.Views, got)
-		prevMsgs, prevSus = got, d
-	}
-	// Linger: keep receiving (and discarding) so our queued frames drain
-	// and slower peers can still complete their last rounds against us.
-	until := sub.Clock() + lingerTicks
-	for sub.Clock() < until {
-		if _, _, err := sub.RecvTimeout(until); err != nil {
-			break
-		}
-	}
-	return rec, stalls, nil
-}
-
 // RunRounds is the in-process harness: it brings up n loopback nodes
-// (or adopts cfg.Listeners, typically chaos-wrapped), runs
-// RunSubstrateRounds on each in its own goroutine, and assembles the
-// same RoundOutcome shape the virtual substrates produce — so predicate
-// checking and the chaos verdicts run unchanged on real sockets. The
-// RunReport is always non-nil, even alongside an error.
+// (or adopts cfg.Listeners, typically chaos-wrapped), runs msgnet's round
+// body, msgnet.RunSubstrateRounds, on each in its own goroutine with the
+// wall-clock watchdog, and assembles the same RoundOutcome the virtual
+// substrates produce — so predicate checking and the chaos verdicts run
+// unchanged on real sockets. When processes fail, the returned error
+// names the lowest failing pid. The RunReport is always non-nil, even
+// alongside an error.
 func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgnet.RoundOutcome, *RunReport, error) {
-	rep := &RunReport{PerProc: make([]Stats, n), Errs: make(map[core.PID]error)}
-	if n <= 0 || f < 0 || f >= n || rounds < 0 {
-		return nil, rep, fmt.Errorf("netsub: invalid shape n=%d f=%d rounds=%d", n, f, rounds)
+	if err := msgnet.CheckRoundShape(n, f, rounds); err != nil {
+		return nil, &RunReport{}, err
 	}
+	rep := &RunReport{PerProc: make([]Stats, n), Errs: make(map[core.PID]error)}
 
 	lns := cfg.Listeners
 	if lns == nil {
@@ -230,14 +144,14 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgn
 	watchdogTicks := int(cfg.watchdog() / time.Millisecond)
 	lingerTicks := int(cfg.linger() / time.Millisecond)
 	recs := make([]*msgnet.RoundRec, n)
-	stalls := make([][]reliablelink.Stall, n)
+	stalls := make([][]msgnet.Stall, n)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rec, st, err := RunSubstrateRounds(nodes[i], n, f, rounds, watchdogTicks, lingerTicks, emit, cfg.Node.Observer)
+			rec, st, err := msgnet.RunSubstrateRounds(nodes[i], f, rounds, watchdogTicks, lingerTicks, emit, cfg.Node.Observer)
 			recs[i], stalls[i] = rec, st
 			if err != nil {
 				mu.Lock()
@@ -272,9 +186,10 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgn
 	}
 
 	var err error
-	for p, e := range rep.Errs {
-		err = fmt.Errorf("netsub: p%d: %w", p, e)
-		break
+	for p := core.PID(0); int(p) < n && err == nil; p++ {
+		if e := rep.Errs[p]; e != nil {
+			err = fmt.Errorf("netsub: p%d: %w", p, e)
+		}
 	}
 	return msgnet.AssembleRoundOutcome(n, rounds, recs, core.NewSet(n), rep.Millis), rep, err
 }

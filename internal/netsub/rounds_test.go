@@ -61,7 +61,7 @@ func TestRunRoundsFaultFree(t *testing.T) {
 }
 
 // TestSameBodyBothSubstrates runs the IDENTICAL protocol function —
-// RunSubstrateRounds — once on the virtual-clock scheduler and once on
+// msgnet.RunSubstrateRounds — once on the virtual-clock scheduler and once on
 // real TCP, and checks both induce traces with the same structural
 // guarantees. This is the substrate-portability property the Substrate
 // interface exists for: the body never learns which clock it is on.
@@ -71,7 +71,7 @@ func TestSameBodyBothSubstrates(t *testing.T) {
 	// Virtual substrate: the same body inside a scheduler process.
 	recs := make([]*msgnet.RoundRec, n)
 	vout, err := msgnet.Run(n, msgnet.Config{Chooser: msgnet.Seeded(7)}, func(nd *msgnet.Node) (core.Value, error) {
-		rec, _, err := RunSubstrateRounds(nd, n, f, rounds, 4096, 512, emitPID, nil)
+		rec, _, err := msgnet.RunSubstrateRounds(nd, f, rounds, 4096, 512, emitPID, nil)
 		recs[nd.Me] = rec
 		return nil, err
 	})
@@ -150,7 +150,7 @@ func TestDeadPeerDegradesIntoSuspicion(t *testing.T) {
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			rec, _, err := RunSubstrateRounds(nodes[i], n, f, rounds, 2000, 100, emitPID, nil)
+			rec, _, err := msgnet.RunSubstrateRounds(nodes[i], f, rounds, 2000, 100, emitPID, nil)
 			results[i] = result{rec, err}
 			done <- i
 		}(i)
@@ -214,14 +214,14 @@ func TestKilledAndRestartedPeerTerminates(t *testing.T) {
 	out := make(chan result, 4)
 	for _, nd := range survivors {
 		go func(nd *Node) {
-			rec, st, err := RunSubstrateRounds(nd, n, f, rounds, 500, 200, emitPID, nil)
+			rec, st, err := msgnet.RunSubstrateRounds(nd, f, rounds, 500, 200, emitPID, nil)
 			out <- result{rec, len(st), err}
 		}(nd)
 	}
 	// The victim participates in its first rounds, then is killed.
 	victimDone := make(chan result, 1)
 	go func(nd *Node) {
-		rec, st, err := RunSubstrateRounds(nd, n, f, 2, 500, 0, emitPID, nil)
+		rec, st, err := msgnet.RunSubstrateRounds(nd, f, 2, 500, 0, emitPID, nil)
 		nd.Close()
 		victimDone <- result{rec, len(st), err}
 	}(victim)
@@ -248,7 +248,7 @@ func TestKilledAndRestartedPeerTerminates(t *testing.T) {
 	}
 	defer reborn.Close()
 	go func(nd *Node) {
-		rec, st, err := RunSubstrateRounds(nd, n, f, rounds, 500, 0, emitPID, nil)
+		rec, st, err := msgnet.RunSubstrateRounds(nd, f, rounds, 500, 0, emitPID, nil)
 		out <- result{rec, len(st), err}
 	}(reborn)
 

@@ -402,7 +402,7 @@ func (m *Metrics) Event(kind string, r, p int, fields map[string]any) {
 		m.faults.DupFramesReceived++
 	case "rlink.giveup":
 		m.faults.GiveUps++
-	case "rlink.watchdog":
+	case "round.watchdog":
 		m.faults.WatchdogStalls++
 	case "msgnet.restart":
 		m.recovery.Restarts++
@@ -454,9 +454,6 @@ func (m *Metrics) Event(kind string, r, p int, fields map[string]any) {
 		m.net.Evictions++
 	case "netsub.frame_error":
 		m.net.FrameErrors++
-	case "netsub.watchdog":
-		// Same semantic as rlink.watchdog: a round abandoned to suspicion.
-		m.faults.WatchdogStalls++
 	case "serve.decide":
 		m.serve.Decisions++
 	case "serve.adopt":

@@ -147,7 +147,7 @@ func TestMetricsFaultCounters(t *testing.T) {
 	m.Event("rlink.retransmit", -1, 0, nil)
 	m.Event("rlink.dup_rx", -1, 1, nil)
 	m.Event("rlink.giveup", -1, 0, nil)
-	m.Event("rlink.watchdog", -1, 2, nil)
+	m.Event("round.watchdog", 1, 2, nil)
 
 	f := m.Snapshot().Faults
 	if f == nil {
@@ -261,7 +261,7 @@ func TestMetricsMCCounters(t *testing.T) {
 }
 
 // TestMetricsNetCounters checks that netsub.* and sockchaos.* events feed
-// the NetSnapshot, that netsub.watchdog counts as a watchdog stall, and
+// the NetSnapshot, that round.watchdog counts as a watchdog stall, and
 // that network-free snapshots omit the block.
 func TestMetricsNetCounters(t *testing.T) {
 	m := NewMetrics()
@@ -278,7 +278,7 @@ func TestMetricsNetCounters(t *testing.T) {
 	m.Event("netsub.backpressure", -1, 0, map[string]any{"peer": 1, "cap": 64})
 	m.Event("netsub.evict", -1, 0, map[string]any{"peer": 2, "strikes": 4})
 	m.Event("netsub.frame_error", -1, 1, map[string]any{"reason": "bad hello"})
-	m.Event("netsub.watchdog", 3, 0, map[string]any{"missing": 2})
+	m.Event("round.watchdog", 3, 0, map[string]any{"missing": 2})
 	m.Event("sockchaos.drop", -1, -1, map[string]any{"from": 0, "frame": 7})
 	m.Event("sockchaos.delay", -1, -1, nil)
 	m.Event("sockchaos.duplicate", -1, -1, nil)
@@ -297,7 +297,7 @@ func TestMetricsNetCounters(t *testing.T) {
 		t.Fatalf("net = %+v, want %+v", *s.Net, want)
 	}
 	if s.Faults == nil || s.Faults.WatchdogStalls != 1 {
-		t.Fatalf("netsub.watchdog should count as a watchdog stall: %+v", s.Faults)
+		t.Fatalf("round.watchdog should count as a watchdog stall: %+v", s.Faults)
 	}
 
 	b, err := s.JSON()

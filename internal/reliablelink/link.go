@@ -4,12 +4,13 @@
 // retransmit unacknowledged frames with capped exponential backoff driven by
 // the scheduler's step clock (no wall time anywhere).
 //
-// On top of the link, RunRounds re-implements the §2 item 3 round protocol
-// with a watchdog: a round that stalls despite retransmission — because a
-// sender crashed, omitted, or sits behind an unhealed partition — degrades
-// gracefully into RRFD suspicions (the missing senders become D(i,r)
-// entries) instead of deadlocking the execution, and the RunReport records
-// who stalled, on whom, and in which round.
+// A Link is itself a msgnet.Substrate, so RunRounds runs msgnet's §2
+// item 3 round body over it with a watchdog: a round that stalls despite
+// retransmission — because a sender crashed, omitted, or sits behind an
+// unhealed partition — degrades gracefully into RRFD suspicions (the
+// missing senders become D(i,r) entries) instead of deadlocking the
+// execution, and the RunReport records who stalled, on whom, and in which
+// round.
 package reliablelink
 
 import (
@@ -42,8 +43,9 @@ type Config struct {
 	// suspicion (see RunRounds), never into a deadlock.
 	MaxAttempts int
 
-	// Observer, when non-nil, receives "rlink.retransmit", "rlink.giveup",
-	// "rlink.dup_rx" and "rlink.watchdog" events.
+	// Observer, when non-nil, receives "rlink.retransmit", "rlink.giveup"
+	// and "rlink.dup_rx" events, and — from the round body RunRounds runs
+	// over the link — "round.watchdog" events.
 	Observer obs.Observer
 }
 
@@ -112,8 +114,9 @@ type pendingFrame struct {
 	attempts int
 }
 
-// Link is one process's reliable endpoint. It is not safe for concurrent
-// use; like Node, it belongs to the single goroutine running the process.
+// Link is one process's reliable endpoint, and a msgnet.Substrate. It is
+// not safe for concurrent use; like Node, it belongs to the single
+// goroutine running the process.
 type Link struct {
 	nd      *msgnet.Node
 	cfg     Config
@@ -135,8 +138,17 @@ func New(nd *msgnet.Node, cfg Config) *Link {
 	}
 }
 
-// Node returns the underlying msgnet node (for its Clock).
-func (l *Link) Node() *msgnet.Node { return l.nd }
+var _ msgnet.Substrate = (*Link)(nil)
+
+// PID implements msgnet.Substrate.
+func (l *Link) PID() core.PID { return l.nd.Me }
+
+// Size implements msgnet.Substrate.
+func (l *Link) Size() int { return l.nd.N }
+
+// Clock implements msgnet.Substrate: the underlying scheduler's step
+// clock.
+func (l *Link) Clock() int { return l.nd.Clock() }
 
 // Stats returns the link's recovery counters so far.
 func (l *Link) Stats() Stats { return l.stats }
@@ -171,31 +183,53 @@ func (l *Link) Broadcast(payload core.Value) error {
 	return nil
 }
 
-// Recv returns the next fresh application message, or ok=false once the
-// step clock reaches the absolute deadline with nothing fresh delivered.
-// Acks, duplicates, and due retransmissions are handled internally.
-func (l *Link) Recv(deadline int) (from core.PID, payload core.Value, ok bool, err error) {
+// Recv blocks until the next fresh application message arrives, serving
+// retransmissions while it waits.
+func (l *Link) Recv() (msgnet.Envelope, error) {
+	env, _, err := l.recv(0, false)
+	return env, err
+}
+
+// RecvTimeout returns the next fresh application message, or false once
+// the step clock reaches the absolute deadline with nothing fresh
+// delivered. Acks, duplicates, and due retransmissions are handled
+// internally.
+func (l *Link) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
+	return l.recv(deadline, true)
+}
+
+// recv implements Recv (bounded false) and RecvTimeout.
+func (l *Link) recv(deadline int, bounded bool) (msgnet.Envelope, bool, error) {
 	for {
 		if err := l.retransmitDue(); err != nil {
-			return 0, nil, false, err
+			return msgnet.Envelope{}, false, err
 		}
-		wake := deadline
-		if t, exists := l.nextTimer(); exists && t < wake {
-			wake = t
+		wake, timed := deadline, bounded
+		if t, exists := l.nextTimer(); exists && (!timed || t < wake) {
+			wake, timed = t, true
 		}
-		env, got, err := l.nd.RecvTimeout(wake)
+		var (
+			env msgnet.Envelope
+			got = true
+			err error
+		)
+		if timed {
+			env, got, err = l.nd.RecvTimeout(wake)
+		} else {
+			env, err = l.nd.Recv()
+		}
 		if err != nil {
-			return 0, nil, false, err
+			return msgnet.Envelope{}, false, err
 		}
 		if !got {
-			if l.nd.Clock() >= deadline {
-				return 0, nil, false, nil
+			if bounded && l.nd.Clock() >= deadline {
+				return msgnet.Envelope{}, false, nil
 			}
 			continue // a retransmission timer fired first
 		}
 		f, isFrame := env.Payload.(frame)
 		if !isFrame {
-			return 0, nil, false, fmt.Errorf("reliablelink: foreign payload %T", env.Payload)
+			return msgnet.Envelope{}, false, fmt.Errorf("reliablelink: foreign payload %T", env.Payload)
 		}
 		if f.Ack {
 			delete(l.unacked, ackKey{env.From, f.Seq})
@@ -205,7 +239,7 @@ func (l *Link) Recv(deadline int) (from core.PID, payload core.Value, ok bool, e
 		if env.From != l.nd.Me {
 			// Always re-ack: the previous ack may have been lost.
 			if err := l.nd.Send(env.From, frame{Seq: f.Seq, Ack: true}); err != nil {
-				return 0, nil, false, err
+				return msgnet.Envelope{}, false, err
 			}
 		}
 		if l.seen[env.From][f.Seq] {
@@ -217,22 +251,8 @@ func (l *Link) Recv(deadline int) (from core.PID, payload core.Value, ok bool, e
 			l.seen[env.From] = make(map[int]bool)
 		}
 		l.seen[env.From][f.Seq] = true
-		return env.From, f.App, true, nil
+		return msgnet.Envelope{From: env.From, To: env.To, Payload: f.App}, true, nil
 	}
-}
-
-// Drain keeps the link serving acknowledgements, duplicate suppression and
-// retransmissions until the step clock reaches the absolute step until —
-// the linger a finishing process grants its peers so their last frames are
-// not orphaned. Fresh application frames arriving during the drain are
-// acknowledged and discarded.
-func (l *Link) Drain(until int) error {
-	for l.nd.Clock() < until {
-		if _, _, _, err := l.Recv(until); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Unacked returns the number of frames still awaiting acknowledgement.

@@ -4,35 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 	"repro/internal/swmr"
 )
-
-// RoundEmit computes the message process me emits at round r given the
-// previous round's receptions (nil at round 1). received maps each process
-// p_j ∉ D(i,r−1) to m_{j,r−1}; suspects is D(i,r−1).
-type RoundEmit func(me core.PID, r int, received map[core.PID]core.Value, suspects core.Set) core.Value
-
-// RoundOutcome is the result of running the snapshot round protocol.
-type RoundOutcome struct {
-	// Trace is the RRFD trace induced by the execution: Active at round r
-	// is the set of processes that completed the round, Suspects[i] is
-	// D(i,r), Deliver[i] the processes whose round-r value p_i read.
-	Trace *core.Trace
-
-	// Views[i][r-1] maps each delivered process to its round-r message,
-	// for every round process i completed.
-	Views map[core.PID][]map[core.PID]core.Value
-
-	// Crashed is the set of processes crashed by the scheduler.
-	Crashed core.Set
-}
-
-// procRecord is what each process body returns to the coordinator.
-type procRecord struct {
-	emitted int
-	dsets   []core.Set
-	views   []map[core.PID]core.Value
-}
 
 // roundCell is the register payload: the owner's per-round emissions.
 type roundCell struct {
@@ -51,12 +25,11 @@ type roundCell struct {
 // level content of §2 item 5 and is validated in this package's tests.
 //
 // The scheduler configuration may crash at most f processes; more would
-// block the survivors and trip swmr's step budget.
-func RunRounds(n, f, rounds int, cfg swmr.Config, emit RoundEmit) (*RoundOutcome, error) {
+// block the survivors and trip swmr's step budget. The outcome's Steps
+// counts register operations.
+func RunRounds(n, f, rounds int, cfg swmr.Config, emit msgnet.RoundEmit) (*msgnet.RoundOutcome, error) {
 	if emit == nil {
-		emit = func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
-			return fmt.Sprintf("p%d@r%d", me, r)
-		}
+		emit = msgnet.DefaultEmit
 	}
 	if len(cfg.Crash) > f {
 		return nil, fmt.Errorf("snapshot: %d crashes exceed resilience f=%d", len(cfg.Crash), f)
@@ -64,9 +37,9 @@ func RunRounds(n, f, rounds int, cfg swmr.Config, emit RoundEmit) (*RoundOutcome
 
 	// Each body writes only its own slot; swmr.Run returning after every
 	// body has finished gives the happens-before edge for reading them.
-	recs := make([]*procRecord, n)
+	recs := make([]*msgnet.RoundRec, n)
 	out, err := swmr.Run(n, cfg, func(p *swmr.Proc) (core.Value, error) {
-		rec := &procRecord{}
+		rec := &msgnet.RoundRec{}
 		recs[p.Me] = rec
 		obj := New(p, "rounds")
 		var prevMsgs map[core.PID]core.Value
@@ -76,13 +49,12 @@ func RunRounds(n, f, rounds int, cfg swmr.Config, emit RoundEmit) (*RoundOutcome
 			v := emit(p.Me, r, prevMsgs, prevSus)
 			mine = append(mine, v)
 			if err := obj.Update(roundCell{round: r, values: mine}); err != nil {
-				return rec, err
+				return nil, err
 			}
-			rec.emitted = r
 			for {
 				view, err := obj.Scan()
 				if err != nil {
-					return rec, err
+					return nil, err
 				}
 				present := core.NewSet(n)
 				msgs := make(map[core.PID]core.Value, n)
@@ -96,57 +68,17 @@ func RunRounds(n, f, rounds int, cfg swmr.Config, emit RoundEmit) (*RoundOutcome
 				}
 				if n-present.Count() <= f {
 					d := present.Complement()
-					rec.dsets = append(rec.dsets, d)
-					rec.views = append(rec.views, msgs)
+					rec.Dsets = append(rec.Dsets, d)
+					rec.Views = append(rec.Views, msgs)
 					prevMsgs, prevSus = msgs, d
 					break
 				}
 			}
 		}
-		return rec, nil
+		return nil, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &RoundOutcome{
-		Trace:   core.NewTrace(n),
-		Views:   make(map[core.PID][]map[core.PID]core.Value, n),
-		Crashed: out.Crashed,
-	}
-	for i := 0; i < n; i++ {
-		if recs[i] == nil {
-			recs[i] = &procRecord{}
-		}
-		res.Views[core.PID(i)] = recs[i].views
-	}
-
-	for r := 1; r <= rounds; r++ {
-		rec := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if len(recs[i].dsets) >= r {
-				rec.Active.Add(pid)
-				rec.Suspects[i] = recs[i].dsets[r-1]
-				rec.Deliver[i] = recs[i].dsets[r-1].Complement()
-			} else {
-				rec.Suspects[i] = core.NewSet(n)
-				rec.Deliver[i] = core.NewSet(n)
-				if out.Crashed.Has(pid) {
-					rec.Crashed.Add(pid)
-				}
-			}
-		}
-		if rec.Active.Empty() {
-			break
-		}
-		res.Trace.Append(rec)
-	}
-	return res, nil
+	return msgnet.AssembleRoundOutcome(n, rounds, recs, out.Crashed, out.Steps), nil
 }

@@ -5,7 +5,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/msgnet"
 	"repro/internal/netsub"
-	"repro/internal/reliablelink"
 )
 
 // ---- Real-network substrate (internal/netsub) ----
@@ -20,6 +19,12 @@ type (
 	// RoundEmit produces one process's round-r payload from what it
 	// heard (and suspected) in round r−1.
 	RoundEmit = msgnet.RoundEmit
+
+	// RoundOutcome reports a round-protocol run on any substrate — the
+	// message-passing, reliable-link, TCP, snapshot and immediate-snapshot
+	// runners all return it: the induced trace, per-round views, crashed
+	// processes and operation count.
+	RoundOutcome = msgnet.RoundOutcome
 
 	// TCPNode is one process's endpoint in a real-socket mesh.
 	TCPNode = netsub.Node
@@ -40,7 +45,7 @@ type (
 
 	// RoundStall records one watchdog firing: who gave up which round,
 	// missing whom.
-	RoundStall = reliablelink.Stall
+	RoundStall = msgnet.Stall
 
 	// BackoffPolicy is the capped-exponential retry ladder shared by the
 	// reliable link's retransmits and the TCP mesh's redials.
@@ -74,9 +79,10 @@ var (
 	// the §2 item 3 round protocol with a wall-clock watchdog.
 	RunTCPRounds = netsub.RunRounds
 
-	// RunSubstrateRounds executes the round protocol — broadcast, collect
-	// n−f, watchdog stragglers into D(i,r) — against any Substrate.
-	RunSubstrateRounds = netsub.RunSubstrateRounds
+	// RunSubstrateRounds is the one round-protocol body — broadcast,
+	// collect n−f, buffer early rounds, watchdog stragglers into D(i,r),
+	// linger — run by one process against any Substrate.
+	RunSubstrateRounds = msgnet.RunSubstrateRounds
 
 	// WrapChaosListener interposes the socket-level fault injector on
 	// every connection accepted by a listener.

@@ -60,9 +60,6 @@ type (
 
 	// SnapshotCell is one component of the object.
 	SnapshotCell = snapshot.Cell
-
-	// SnapshotRoundOutcome reports a snapshot round-protocol run.
-	SnapshotRoundOutcome = snapshot.RoundOutcome
 )
 
 var (
@@ -108,9 +105,6 @@ type (
 
 	// NetEnvelope is a delivered message.
 	NetEnvelope = msgnet.Envelope
-
-	// NetRoundOutcome reports a round-protocol run.
-	NetRoundOutcome = msgnet.RoundOutcome
 )
 
 var (
